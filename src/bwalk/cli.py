@@ -93,7 +93,7 @@ def cmd_fidelity_curve(args) -> int:
     _require(args.s_index < args.n1, "--s-index out of range for partition 1")
     scenario = _scenario_from_args(args)
     f = protocols.analytic_fidelity_fn(scenario.kind, scenario.flavor, args.n1, args.n2)
-    max_steps = args.steps if args.steps else int(math.ceil(protocols.transfer_window(args.n1, args.n2)[1]))
+    max_steps = args.steps if args.steps is not None else int(math.ceil(protocols.transfer_window(args.n1, args.n2)[1]))
     _require(max_steps >= 1, "steps must be >= 1")
 
     simulate = args.n1 * args.n2 <= 10_000
@@ -257,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     active.set_defaults(func=cmd_active_switch)
 
     check = sub.add_parser("verify", help="run self-verification suites")
-    check.add_argument("--check", choices=verify.CHECK_NAMES + ("unitarity",), help="run one suite only")
+    check.add_argument("--check", choices=verify.CHECK_NAMES, help="run one suite only")
     check.add_argument("--n1", type=int, default=8)
     check.add_argument("--n2", type=int, default=6)
     check.add_argument("--seed", type=int, default=20250810, help="seed for random-state property checks")

@@ -17,6 +17,7 @@ index permutation and every coin acts on a contiguous slice:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -59,8 +60,13 @@ class BipartiteSpec:
     l2: float = 0.0
 
     def __post_init__(self) -> None:
+        for n in (self.n1, self.n2):
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+                raise ValueError(f"partition sizes must be integers, got {n!r}")
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError("partition sizes must be >= 1")
+        if not (math.isfinite(self.l1) and math.isfinite(self.l2)):
+            raise ValueError("loop weights must be finite")
         if self.l1 < 0 or self.l2 < 0:
             raise ValueError("loop weights must be >= 0")
 

@@ -30,6 +30,8 @@ __all__ = [
 
 
 class CoinKind(Enum):
+    """Coin at one vertex; ``GROVER_PLUS`` is the unmarked Grover reflection."""
+
     GROVER_PLUS = "grover"
     GROVER_MINUS = "neg-grover"
     NEG_IDENTITY = "neg-identity"
@@ -37,22 +39,18 @@ class CoinKind(Enum):
 
 @dataclass(frozen=True)
 class CoinConfig:
-    """Per-vertex coin assignment: a default kind plus a small override map.
+    """Per-vertex coin assignment: the marked vertices and their coin kinds.
 
-    The overrides are the marked vertices; every other vertex uses
-    ``default_kind``.
+    Every vertex not in ``overrides`` gets the Grover reflection
+    (``CoinKind.GROVER_PLUS``).
     """
 
     basis: ArcBasis
-    default_kind: CoinKind = CoinKind.GROVER_PLUS
     overrides: dict[Vertex, CoinKind] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for v in self.overrides:
             self.basis.spec.vertex(*v)
-
-    def kind_of(self, v: Vertex) -> CoinKind:
-        return self.overrides.get(v, self.default_kind)
 
     def _partition_overrides(self, partition: int) -> list[tuple[int, CoinKind]]:
         return [(v.index, k) for v, k in self.overrides.items() if v.partition == partition]
@@ -147,10 +145,10 @@ def _coin_partition(
     out_loops: np.ndarray | None,
     in_loops: np.ndarray | None,
     loop_weight: float,
-    default_kind: CoinKind,
     overrides: list[tuple[int, CoinKind]],
 ) -> None:
-    """Apply the coin of one partition.
+    """Apply the coin of one partition: the Grover reflection at every vertex,
+    then the marked rows (``overrides``) negated or replaced by ``-in``.
 
     ``in_edges``/``out_edges`` are (n_vertices, n_opposite) views, one row per
     vertex; loop arrays are the matching per-vertex loop amplitudes or None.
@@ -167,50 +165,15 @@ def _coin_partition(
         inner = in_edges.sum(axis=1) * inv_sqrt_d
         out_edges[:] = (2.0 * inv_sqrt_d) * inner[:, None] - in_edges
 
-    if default_kind is CoinKind.GROVER_MINUS:
-        out_edges *= -1.0
-        if out_loops is not None:
-            out_loops *= -1.0
-    elif default_kind is CoinKind.NEG_IDENTITY:
-        out_edges[:] = -in_edges
-        if out_loops is not None:
-            out_loops[:] = -in_loops
-
     for idx, kind in overrides:
-        if kind is default_kind:
-            continue
-        if kind is CoinKind.GROVER_PLUS:
-            factor = -1.0 if default_kind is CoinKind.GROVER_MINUS else None
-        elif kind is CoinKind.GROVER_MINUS:
-            factor = -1.0 if default_kind is CoinKind.GROVER_PLUS else None
-        else:
-            factor = None
-        if factor is not None:
-            out_edges[idx] *= factor
+        if kind is CoinKind.GROVER_MINUS:
+            out_edges[idx] *= -1.0
             if out_loops is not None:
-                out_loops[idx] *= factor
-            continue
-        # kind and default differ structurally: recompute the row from scratch
-        row = in_edges[idx]
-        loop = in_loops[idx] if in_loops is not None else 0.0
-        if kind is CoinKind.NEG_IDENTITY:
-            out_edges[idx] = -row
+                out_loops[idx] *= -1.0
+        elif kind is CoinKind.NEG_IDENTITY:
+            out_edges[idx] = -in_edges[idx]
             if out_loops is not None:
-                out_loops[idx] = -loop
-        else:
-            if in_loops is not None:
-                sqrt_l = math.sqrt(loop_weight)
-                inner = (row.sum() + sqrt_l * loop) * inv_sqrt_d
-                new_row = (2.0 * inv_sqrt_d) * inner - row
-                new_loop = (2.0 * sqrt_l * inv_sqrt_d) * inner - loop
-            else:
-                inner = row.sum() * inv_sqrt_d
-                new_row = (2.0 * inv_sqrt_d) * inner - row
-                new_loop = None
-            sign = -1.0 if kind is CoinKind.GROVER_MINUS else 1.0
-            out_edges[idx] = sign * new_row
-            if out_loops is not None:
-                out_loops[idx] = sign * new_loop
+                out_loops[idx] = -in_loops[idx]
 
 
 def _apply_coin_array(amps: np.ndarray, config: CoinConfig) -> np.ndarray:
@@ -223,12 +186,12 @@ def _apply_coin_array(amps: np.ndarray, config: CoinConfig) -> np.ndarray:
     _coin_partition(
         basis.block_12(out), basis.block_12(amps),
         out_loops1, in_loops1, basis.spec.l1,
-        config.default_kind, config._partition_overrides(1),
+        config._partition_overrides(1),
     )
     _coin_partition(
         basis.block_21(out), basis.block_21(amps),
         out_loops2, in_loops2, basis.spec.l2,
-        config.default_kind, config._partition_overrides(2),
+        config._partition_overrides(2),
     )
     return out
 

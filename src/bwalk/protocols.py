@@ -9,19 +9,15 @@ Two families:
   sender for T1 steps, re-mark the receiver for T2 steps, report fidelity
   against the receiver's loop.
 
-Sweeps fan out over graph sizes; the worker count is capped by the
-``BWALK_THREADS`` environment variable and results are ordered by grid
-coordinates regardless of scheduling.
+Sweeps run one independent walk or optimisation per graph size, serially
+in the calling thread, and return rows in grid order.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from . import analytic
 from .graph import BipartiteSpec, Vertex, build_basis, fidelity, loop_state, receiver_target_state, uniform_sender_state
@@ -56,12 +52,9 @@ class TransferReport:
     t2: int | None = None
     l1: float | None = None
     l2: float | None = None
-    elapsed_seconds: float = 0.0
     notes: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
-        # elapsed_seconds stays off the wire: identical configs must produce
-        # byte-identical output
         return {
             "scenario": self.scenario,
             "flavor": self.flavor,
@@ -152,7 +145,6 @@ def run_transfer(spec: BipartiteSpec, scenario: MarkedScenario) -> TransferRepor
     if scenario.kind not in ("diff", "same"):
         raise ValueError("run_transfer handles the diff and same scenarios")
     scenario.validate_spec(spec)
-    start = time.perf_counter()
     f = analytic_fidelity_fn(scenario.kind, scenario.flavor, spec.n1, spec.n2)
     x_star, f_star = analytic.maximize_fidelity(f, transfer_window(spec.n1, spec.n2))
     steps = analytic.best_parity_step(f, x_star, scenario.parity)
@@ -168,7 +160,6 @@ def run_transfer(spec: BipartiteSpec, scenario: MarkedScenario) -> TransferRepor
         fidelity=achieved,
         continuous_steps=x_star,
         continuous_fidelity=f_star,
-        elapsed_seconds=time.perf_counter() - start,
     )
 
 
@@ -192,7 +183,6 @@ def run_active_switch(spec: BipartiteSpec, sender: Vertex, receiver: Vertex) -> 
         raise ValueError(
             f"active switch requires loop weights l1={schedule.l1!r}, l2={schedule.l2!r}"
         )
-    start = time.perf_counter()
     basis = build_basis(spec)
     state = loop_state(basis, sender)
     state = evolve(state, MarkedScenario.single_marked(sender).coin_config(basis), schedule.t1)
@@ -214,27 +204,8 @@ def run_active_switch(spec: BipartiteSpec, sender: Vertex, receiver: Vertex) -> 
         t2=schedule.t2,
         l1=spec.l1,
         l2=spec.l2,
-        elapsed_seconds=time.perf_counter() - start,
         notes=schedule.notes,
     )
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("BWALK_THREADS", "")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError as exc:
-            raise ValueError(f"BWALK_THREADS must be an integer, got {raw!r}") from exc
-    return min(8, os.cpu_count() or 1)
-
-
-def _ordered_map(fn: Callable, items: Sequence) -> list:
-    workers = _max_workers()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def sweep_max_fidelity(n1: int, n2_values: Iterable[int], flavor: str) -> list[tuple[int, float, float]]:
@@ -251,7 +222,7 @@ def sweep_max_fidelity(n1: int, n2_values: Iterable[int], flavor: str) -> list[t
         x_star, f_star = analytic.maximize_fidelity(f, transfer_window(n1, n2))
         return (n2, f_star, x_star)
 
-    return _ordered_map(one, values)
+    return [one(n2) for n2 in values]
 
 
 def sweep_active_switch(
@@ -268,10 +239,8 @@ def sweep_active_switch(
     if not grid:
         raise ValueError("empty sweep range")
 
-    def one(sizes: tuple[int, int]) -> tuple[int, int, float]:
-        n1, n2 = sizes
-        receiver = Vertex(2, 0) if placement == "diff" else Vertex(1, 1)
-        report = run_active_switch(switch_spec(n1, n2), Vertex(1, 0), receiver)
-        return (n1, n2, report.fidelity)
-
-    return _ordered_map(one, grid)
+    receiver = Vertex(2, 0) if placement == "diff" else Vertex(1, 1)
+    return [
+        (n1, n2, run_active_switch(switch_spec(n1, n2), Vertex(1, 0), receiver).fidelity)
+        for n1, n2 in grid
+    ]

@@ -29,7 +29,7 @@ class CheckResult:
     detail: str
 
 
-CHECK_NAMES = ("stationary", "subspace", "eigen", "closedform")
+CHECK_NAMES = ("stationary", "subspace", "eigen", "closedform", "unitarity")
 
 
 def _dynamics_matrix(scenario: MarkedScenario, spec: BipartiteSpec) -> tuple[np.ndarray, float]:
@@ -189,7 +189,7 @@ def run_checks(
     inject_fault: bool = False,
 ) -> list[CheckResult]:
     """Run the named verification suites (all, by default)."""
-    selected = names or list(CHECK_NAMES) + ["unitarity"]
+    selected = names or list(CHECK_NAMES)
     results = []
     for name in selected:
         if name not in _CHECKS:

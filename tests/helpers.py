@@ -1,29 +1,12 @@
-"""Shared test oracles: project the full arc-space evolution onto invariant bases."""
+"""Shared test oracle: fidelity series of the full arc-space walk."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from bwalk import build_subspace, evolve, fidelity, project, receiver_target_state, step, uniform_sender_state
+from bwalk import fidelity, receiver_target_state, step, uniform_sender_state
 from bwalk.graph import BipartiteSpec, build_basis
 from bwalk.operators import MarkedScenario
-from bwalk.reduced import reduced_matrix
-
-
-def dynamics_reduced_matrix(scenario: MarkedScenario, spec: BipartiteSpec):
-    """(matrix, worst invariance residual) from evolving each basis vector."""
-    sub = build_subspace(scenario, spec)
-    power = reduced_matrix(scenario, spec).power
-    config = scenario.coin_config(sub.basis)
-    k = sub.dimension
-    matrix = np.zeros((k, k), dtype=np.complex128)
-    worst = 0.0
-    for j, state in enumerate(sub.states):
-        evolved = evolve(state, config, power)
-        coeffs, residual = project(sub, evolved)
-        matrix[:, j] = coeffs
-        worst = max(worst, residual)
-    return matrix, worst
 
 
 def simulated_fidelity_series(spec: BipartiteSpec, scenario: MarkedScenario, max_steps: int):

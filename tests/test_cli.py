@@ -66,6 +66,14 @@ def test_curve_rejects_bad_sizes(capsys):
     assert "n1 must be >= 1" in err
 
 
+def test_curve_rejects_zero_steps(capsys):
+    code, out, err = run_cli(
+        capsys, "fidelity-curve", "--n1", "5", "--n2", "4", "--scenario", "diff", "--steps", "0"
+    )
+    assert code == 2 and out == ""
+    assert "steps must be >= 1" in err
+
+
 def test_negative_vertex_indices_are_usage_errors(capsys):
     for argv in (
         ("fidelity-curve", "--n1", "5", "--n2", "4", "--scenario", "diff", "--s-index", "-1"),

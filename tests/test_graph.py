@@ -32,6 +32,15 @@ def test_spec_validation():
         BipartiteSpec(3, 0)
     with pytest.raises(ValueError):
         BipartiteSpec(3, 3, l1=-0.1)
+    for n1, n2 in ((2.5, 3), (3, 2.0), (True, 3), (3, False), (np.bool_(True), 3)):
+        with pytest.raises(ValueError):
+            BipartiteSpec(n1, n2)
+    for weight in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            BipartiteSpec(3, 3, l1=weight)
+        with pytest.raises(ValueError):
+            BipartiteSpec(3, 3, l2=weight)
+    assert BipartiteSpec(np.int64(3), 3).n1 == 3
 
 
 @pytest.mark.parametrize("spec", [

@@ -178,12 +178,3 @@ def test_gg_reaches_peak_before_gi_at_equal_sizes(n):
     assert f_gi == pytest.approx(1.0, abs=1e-6)
     assert s_gg < s_gi
 
-
-def test_thread_cap_keeps_results_deterministic(monkeypatch):
-    serial = sweep_active_switch([18, 20], [18, 20], "diff")
-    monkeypatch.setenv("BWALK_THREADS", "4")
-    threaded = sweep_active_switch([18, 20], [18, 20], "diff")
-    assert serial == threaded
-    monkeypatch.setenv("BWALK_THREADS", "zebra")
-    with pytest.raises(ValueError):
-        sweep_active_switch([18], [18], "diff")

@@ -23,8 +23,7 @@ from bwalk import (
 )
 from bwalk.operators import MarkedScenario
 from bwalk.reduced import _single_matrix, principal_angles
-
-from helpers import dynamics_reduced_matrix
+from bwalk.verify import _dynamics_matrix
 
 DIFF = MarkedScenario.diff_partition(0, 0, "gg")
 SAME = MarkedScenario.same_partition(0, 1, "gg")
@@ -87,7 +86,7 @@ def test_reduced_matrix_entry_examples():
 def test_diff_matrix_matches_dynamics(n1, n2):
     spec = BipartiteSpec(n1, n2)
     closed = reduced_matrix(DIFF, spec).matrix
-    dynamic, invariance = dynamics_reduced_matrix(DIFF, spec)
+    dynamic, invariance = _dynamics_matrix(DIFF, spec)
     assert invariance < 1e-12
     assert abs(closed - dynamic).max() < 1e-12
 
@@ -96,7 +95,7 @@ def test_diff_matrix_matches_dynamics(n1, n2):
 def test_same_matrix_matches_dynamics(n1, n2):
     spec = BipartiteSpec(n1, n2)
     closed = reduced_matrix(SAME, spec).matrix
-    dynamic, invariance = dynamics_reduced_matrix(SAME, spec)
+    dynamic, invariance = _dynamics_matrix(SAME, spec)
     assert invariance < 1e-12
     assert abs(closed - dynamic).max() < 1e-12
 
@@ -113,7 +112,7 @@ def test_single_matrix_matches_dynamics(weights, n1, n2):
     l1, l2 = weights if weights else (n2 / (2 * n1), n1 / (2 * n2))
     spec = BipartiteSpec(n1, n2, l1, l2)
     closed = reduced_matrix(SINGLE, spec).matrix
-    dynamic, invariance = dynamics_reduced_matrix(SINGLE, spec)
+    dynamic, invariance = _dynamics_matrix(SINGLE, spec)
     assert invariance < 1e-12
     assert abs(closed - dynamic).max() < 1e-12
 
@@ -122,7 +121,7 @@ def test_single_matrix_mirrored_partition():
     spec = BipartiteSpec(4, 6, l1=0.7, l2=0.4)
     scenario = MarkedScenario.single_marked(Vertex(2, 2))
     closed = reduced_matrix(scenario, spec).matrix
-    dynamic, invariance = dynamics_reduced_matrix(scenario, spec)
+    dynamic, invariance = _dynamics_matrix(scenario, spec)
     assert invariance < 1e-12
     assert abs(closed - dynamic).max() < 1e-12
 
