@@ -136,6 +136,7 @@ def cmd_sweep(args) -> int:
     elif args.n2_range and args.placement:
         _validate_sizes(args.n1, 1)
         n2_range = _parse_range(args.n2_range, "--n2-range")
+        _require(args.n1 >= 2, "--n1 must be >= 2 for the active switch")
         _require(n2_range.start >= 2, "--n2-range must start at >= 2 for the active switch")
         results = protocols.sweep_active_switch([args.n1], n2_range, args.placement)
         rows = [[n2, _fmt(value)] for _, n2, value in results]

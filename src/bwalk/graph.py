@@ -5,8 +5,9 @@ complete bipartite graph with partitions of size ``n1`` and ``n2``.  Each
 partition may optionally carry a uniform weighted self-loop, which adds one
 loop arc ``(v, v)`` per vertex of that partition.
 
-Arcs are laid out in fixed blocks so that the flip-flop shift is a cheap
-index permutation and every coin acts on a contiguous slice:
+Arcs are laid out in fixed blocks so that every coin acts on contiguous
+rows and the flip-flop shift maps each edge block onto the transpose of the
+other, so a coin can write its output straight into the shifted position:
 
     [0, n1*n2)              arcs v1 -> v2, row-major (v1 outer, v2 inner)
     [n1*n2, 2*n1*n2)        arcs v2 -> v1, row-major (v2 outer, v1 inner)
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -70,21 +71,6 @@ class BipartiteSpec:
         if self.l1 < 0 or self.l2 < 0:
             raise ValueError("loop weights must be >= 0")
 
-    def degree(self, partition: int) -> float:
-        """Degree of any vertex in the given partition (edges plus loop weight)."""
-        if partition == 1:
-            return self.n2 + self.l1
-        if partition == 2:
-            return self.n1 + self.l2
-        raise ValueError(f"unknown partition {partition!r}")
-
-    def loop_weight(self, partition: int) -> float:
-        if partition == 1:
-            return self.l1
-        if partition == 2:
-            return self.l2
-        raise ValueError(f"unknown partition {partition!r}")
-
     def partition_size(self, partition: int) -> int:
         if partition == 1:
             return self.n1
@@ -101,11 +87,10 @@ class BipartiteSpec:
 
 @dataclass(frozen=True)
 class ArcBasis:
-    """Fixed arc ordering for one graph, with index maps and the shift permutation."""
+    """Fixed arc ordering for one graph: block slices, block views and index maps."""
 
     spec: BipartiteSpec
     dimension: int
-    shift_perm: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n1(self) -> int:
@@ -193,16 +178,10 @@ class ArcBasis:
 
 
 def build_basis(spec: BipartiteSpec) -> ArcBasis:
-    """Construct the arc basis and the flip-flop shift permutation for ``spec``."""
+    """Construct the arc basis for ``spec``; O(1), the layout is implicit."""
     n1, n2 = spec.n1, spec.n2
     dim = 2 * n1 * n2 + (n1 if spec.l1 > 0 else 0) + (n2 if spec.l2 > 0 else 0)
-    perm = np.arange(dim, dtype=np.intp)
-    idx = np.arange(n1 * n2, dtype=np.intp)
-    v1, v2 = np.divmod(idx, n2)
-    partner = n1 * n2 + v2 * n1 + v1
-    perm[idx] = partner
-    perm[partner] = idx
-    return ArcBasis(spec=spec, dimension=dim, shift_perm=perm)
+    return ArcBasis(spec=spec, dimension=dim)
 
 
 @dataclass
@@ -226,9 +205,6 @@ class WalkState:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def copy(self) -> "WalkState":
-        return WalkState(self.basis, self.amplitudes.copy())
 
 
 def _require_same_basis(a: WalkState, b: WalkState) -> None:

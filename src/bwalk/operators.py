@@ -176,7 +176,10 @@ def _coin_partition(
                 out_loops[idx] = -in_loops[idx]
 
 
-def _apply_coin_array(amps: np.ndarray, config: CoinConfig) -> np.ndarray:
+def _step_array(amps: np.ndarray, config: CoinConfig) -> np.ndarray:
+    """Coin then flip-flop shift in one pass: each partition's coin writes
+    its output through the transposed view of the opposite edge block, which
+    is where the shift moves arc (v, u) to arc (u, v)."""
     basis = config.basis
     out = np.empty_like(amps)
     in_loops1 = amps[basis.loops1] if basis.has_loops1 else None
@@ -184,12 +187,12 @@ def _apply_coin_array(amps: np.ndarray, config: CoinConfig) -> np.ndarray:
     in_loops2 = amps[basis.loops2] if basis.has_loops2 else None
     out_loops2 = out[basis.loops2] if basis.has_loops2 else None
     _coin_partition(
-        basis.block_12(out), basis.block_12(amps),
+        basis.block_21(out).T, basis.block_12(amps),
         out_loops1, in_loops1, basis.spec.l1,
         config._partition_overrides(1),
     )
     _coin_partition(
-        basis.block_21(out), basis.block_21(amps),
+        basis.block_12(out).T, basis.block_21(amps),
         out_loops2, in_loops2, basis.spec.l2,
         config._partition_overrides(2),
     )
@@ -198,22 +201,27 @@ def _apply_coin_array(amps: np.ndarray, config: CoinConfig) -> np.ndarray:
 
 def apply_shift(state: WalkState) -> WalkState:
     """Flip-flop shift: amplitude of arc (v, u) moves to arc (u, v); loops stay put."""
-    return WalkState(state.basis, state.amplitudes[state.basis.shift_perm])
+    basis, amps = state.basis, state.amplitudes
+    out = amps.copy()
+    basis.block_12(out)[:] = basis.block_21(amps).T
+    basis.block_21(out)[:] = basis.block_12(amps).T
+    return WalkState(basis, out)
 
 
 def apply_coin(state: WalkState, config: CoinConfig) -> WalkState:
-    """Block-local coin: Grover reflection per vertex, sign-flipped where marked."""
-    if config.basis.spec != state.basis.spec:
-        raise ValueError("coin config built for a different basis")
-    return WalkState(state.basis, _apply_coin_array(state.amplitudes, config))
+    """Block-local coin: Grover reflection per vertex, sign-flipped where marked.
+
+    Computed as one step followed by the shift again; the shift is an
+    involution that only moves values, so the result is exact.
+    """
+    return apply_shift(step(state, config))
 
 
 def step(state: WalkState, config: CoinConfig) -> WalkState:
     """One walk step: coin, then flip-flop shift."""
     if config.basis.spec != state.basis.spec:
         raise ValueError("coin config built for a different basis")
-    amps = _apply_coin_array(state.amplitudes, config)
-    return WalkState(state.basis, amps[state.basis.shift_perm])
+    return WalkState(state.basis, _step_array(state.amplitudes, config))
 
 
 def evolve(state: WalkState, config: CoinConfig, steps: int) -> WalkState:
@@ -222,8 +230,7 @@ def evolve(state: WalkState, config: CoinConfig, steps: int) -> WalkState:
         raise ValueError("step count must be >= 0")
     if config.basis.spec != state.basis.spec:
         raise ValueError("coin config built for a different basis")
-    basis = state.basis
     amps = state.amplitudes
     for _ in range(steps):
-        amps = _apply_coin_array(amps, config)[basis.shift_perm]
-    return WalkState(basis, amps if amps is not state.amplitudes else amps.copy())
+        amps = _step_array(amps, config)
+    return WalkState(state.basis, amps if amps is not state.amplitudes else amps.copy())

@@ -52,7 +52,6 @@ class SubspaceBasis:
     spec: BipartiteSpec
     basis: ArcBasis
     states: tuple[WalkState, ...]
-    labels: tuple[str, ...]
 
     @property
     def dimension(self) -> int:
@@ -130,7 +129,6 @@ def build_subspace(scenario: MarkedScenario, spec: BipartiteSpec) -> SubspaceBas
         a = blank()
         basis.block_21(a)[np.ix_(others2, others1)] = 1.0 / math.sqrt((n1 - 1) * (n2 - 1))
         vecs.append(a)
-        labels = ("phi1", "phi2", "phi3", "phi4")
 
     elif scenario.kind == "same":
         _require(scenario.flavor == "gg", "the 3-dim invariant basis holds for the negated-Grover marking only")
@@ -147,7 +145,6 @@ def build_subspace(scenario: MarkedScenario, spec: BipartiteSpec) -> SubspaceBas
         a = blank()
         basis.block_12(a)[rest, :] = 1.0 / math.sqrt(n2 * (n1 - 2))
         vecs.append(a)
-        labels = ("phi1", "phi2", "phi3")
 
     elif scenario.kind == "single":
         m = scenario.marked
@@ -185,13 +182,12 @@ def build_subspace(scenario: MarkedScenario, spec: BipartiteSpec) -> SubspaceBas
         loops = a[own_loops]
         loops[others] = 1.0 / math.sqrt(nm - 1)
         vecs.append(a)
-        labels = ("phi1", "phi2", "phi3", "phi4", "phi5", "phi6", "phi7")
 
     else:
         raise ValueError(f"no invariant basis for scenario kind {scenario.kind!r}")
 
     states = tuple(WalkState(basis, v) for v in vecs)
-    return SubspaceBasis(scenario=scenario, spec=spec, basis=basis, states=states, labels=labels)
+    return SubspaceBasis(scenario=scenario, spec=spec, basis=basis, states=states)
 
 
 def _diff_matrix(n1: int, n2: int) -> np.ndarray:

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analytic
 from .graph import BipartiteSpec, Vertex, build_basis, fidelity, random_state, receiver_target_state, stationary_state, uniform_sender_state
 from .operators import MarkedScenario, evolve, step
+from .protocols import analytic_fidelity_fn
 from .reduced import build_subspace, numeric_eigensystem, project, reduced_eigensystem, reduced_matrix
 
 __all__ = ["CheckResult", "CHECK_NAMES", "run_checks"]
@@ -109,8 +109,9 @@ def check_eigen(n1: int, n2: int, seed: int) -> CheckResult:
         for value, vector in zip(system.values, system.vectors.T):
             worst = max(worst, float(np.linalg.norm(op.matrix @ vector - value * vector)))
         numeric = numeric_eigensystem(op)
-        closed_sorted = np.sort(np.round(np.angle(system.values), 12))
-        numeric_sorted = np.sort(np.round(np.angle(numeric.values), 12))
+        # compare the values, not their angles: -1 has angle +pi or -pi
+        closed_sorted = np.sort_complex(np.round(system.values, 12))
+        numeric_sorted = np.sort_complex(np.round(numeric.values, 12))
         worst = max(worst, float(abs(closed_sorted - numeric_sorted).max()))
     # asymptotic loop-walk eigenbasis: residuals must shrink with size
     residuals = []
@@ -142,13 +143,12 @@ def check_closedform(n1: int, n2: int, seed: int) -> CheckResult:
     for m1, m2 in pairs:
         spec = BipartiteSpec(m1, m2)
         basis = build_basis(spec)
-        runs = [
-            (MarkedScenario.diff_partition(0, 0, "gg"), lambda s, a=m1, b=m2: analytic.fidelity_diff_gg(a, b, s), 1),
-            (MarkedScenario.diff_partition(0, 0, "gi"), lambda s, a=m1, b=m2: analytic.fidelity_diff_gi(a, b, s), 1),
-        ]
+        scenarios = [MarkedScenario.diff_partition(0, 0, "gg"), MarkedScenario.diff_partition(0, 0, "gi")]
         if m1 >= 2:
-            runs.append((MarkedScenario.same_partition(0, 1, "gg"), lambda s, a=m1: analytic.fidelity_same(a, s), 0))
-        for scenario, f, start_parity in runs:
+            scenarios.append(MarkedScenario.same_partition(0, 1, "gg"))
+        for scenario in scenarios:
+            f = analytic_fidelity_fn(scenario.kind, scenario.flavor, m1, m2)
+            start_parity = 1 if scenario.parity == "odd" else 0
             config = scenario.coin_config(basis)
             state = uniform_sender_state(basis, scenario.sender)
             target = receiver_target_state(basis, scenario.receiver)

@@ -269,7 +269,6 @@ def test_criterion_9_structural_properties():
     exact = True
     for spec in (bw.BipartiteSpec(7, 5), bw.BipartiteSpec(6, 6, l1=0.5, l2=0.25)):
         basis = bw.build_basis(spec)
-        exact &= bool(np.array_equal(basis.shift_perm[basis.shift_perm], np.arange(basis.dimension)))
         state = bw.random_state(basis, rng)
         exact &= bool(
             np.array_equal(bw.apply_shift(bw.apply_shift(state)).amplitudes, state.amplitudes)

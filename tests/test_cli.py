@@ -149,6 +149,9 @@ def test_sweep_usage_errors(capsys):
     assert code == 2 and "sweep needs" in err
     code, _, err = run_cli(capsys, "sweep", "--n1", "10", "--n2-range", "9:5")
     assert code == 2 and "empty range" in err
+    for placement in ("diff", "same"):
+        code, _, err = run_cli(capsys, "sweep", "--n1", "1", "--n2-range", "2:3", "--placement", placement)
+        assert code == 2 and "--n1 must be >= 2" in err
 
 
 def test_transfer_json(capsys):
@@ -192,6 +195,11 @@ def test_verify_single_check(capsys):
     assert code == 0
     assert out.startswith("stationary")
     assert float(out.split("residual")[1].split()[0]) < 1e-12
+    # at n1 = n2 = 2 the eigenvalue -1 has angle +pi from the solver and -pi
+    # from the closed form; the check must compare the values themselves
+    for size in ("1", "2"):
+        code, out, _ = run_cli(capsys, "verify", "--check", "eigen", "--n1", size, "--n2", size)
+        assert code == 0 and "PASS" in out
 
 
 def test_verify_fault_injection(capsys):

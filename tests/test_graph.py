@@ -15,7 +15,7 @@ from bwalk import (
     uniform_sender_state,
 )
 from bwalk.graph import WalkState
-from bwalk.operators import MarkedScenario, step
+from bwalk.operators import MarkedScenario, apply_shift, step
 
 
 def test_dimension_counts():
@@ -56,13 +56,15 @@ def test_label_index_roundtrip(spec):
         assert basis.arc_index(frm, to) == i
 
 
-def test_shift_permutation_matches_labels():
+def test_shift_reverses_every_arc():
     basis = build_basis(BipartiteSpec(3, 4, l1=0.5, l2=0.5))
-    perm = basis.shift_perm
-    assert np.array_equal(perm[perm], np.arange(basis.dimension))
     for i in range(basis.dimension):
         frm, to = basis.arc_label(i)
-        assert basis.arc_label(perm[i]) == (to, frm) or frm == to
+        amps = np.zeros(basis.dimension, dtype=np.complex128)
+        amps[i] = 1.0
+        expected = np.zeros_like(amps)
+        expected[basis.arc_index(to, frm)] = 1.0  # a loop (v, v) maps to itself
+        assert np.array_equal(apply_shift(WalkState(basis, amps)).amplitudes, expected)
 
 
 def test_uniform_sender_state():
