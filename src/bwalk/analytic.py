@@ -6,6 +6,9 @@ agrees with full arc-space evolution at integer steps of the right parity
 to machine precision.  The curves oscillate slowly (frequency set by the
 per-partition reflection angle arccos(1 - 2/n)), so a coarse scan plus
 golden-section refinement finds global maxima reliably.
+
+Every angle arccos(1 - 2x) is taken as 2 arcsin(sqrt(x)), which keeps full
+relative precision as x -> 0 (arccos is off by 1e-5 relative at n = 1e12).
 """
 
 from __future__ import annotations
@@ -29,10 +32,10 @@ __all__ = [
 
 
 def grover_angle(n: int) -> float:
-    """Reflection angle of one Grover coin block: arccos(1 - 2/n)."""
+    """Reflection angle of one Grover coin block: arccos(1 - 2/n) = 2 arcsin(1/sqrt(n))."""
     if n < 1:
         raise ValueError("partition size must be >= 1")
-    return math.acos(1 - 2 / n)
+    return 2.0 * math.asin(1.0 / math.sqrt(n))
 
 
 def lqw_angle(n: int) -> float:
@@ -73,7 +76,7 @@ def fidelity_diff_gi(n1: int, n2: int, steps):
     if n1 < 1 or n2 < 1:
         raise ValueError("partition sizes must be >= 1")
     t = (np.asarray(steps, dtype=float) - 1.0) / 2.0
-    omega = math.acos((n1 * n2 - 2 * n1 - 2 * n2 + 2) / (n1 * n2))
+    omega = 2.0 * math.asin(math.sqrt((n1 + n2 - 1) / (n1 * n2)))  # arccos(1 - 2 (n1 + n2 - 1) / (n1 n2))
     cross = math.sqrt((n1 - 1) * (n2 - 1) * (n1 + n2 - 1))
     num = n1 * n2 - (n1 - 1) * (n2 - 1) * np.cos(omega * t) + cross * np.sin(omega * t)
     out = num**2 / (n1 * n2 * (n1 + n2 - 1) ** 2)
@@ -85,11 +88,11 @@ def fidelity_same(n1: int, steps):
 
     Independent of the opposite partition's size.  Exact at even integer
     ``steps`` (odd steps give exactly zero): sin^4(omega * steps / 4) with
-    omega = arccos(1 - 4/n1).
+    omega = arccos(1 - 4/n1) = 2 arcsin(sqrt(2/n1)).
     """
     if n1 < 2:
         raise ValueError("same-partition transfer needs n1 >= 2")
-    omega = math.acos(1 - 4 / n1)
+    omega = 2.0 * math.asin(math.sqrt(2 / n1))
     out = np.sin(omega * np.asarray(steps, dtype=float) / 4.0) ** 4
     return out if out.ndim else float(out)
 

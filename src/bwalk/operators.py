@@ -127,10 +127,13 @@ class MarkedScenario:
             return (self.marked,)
         return ()
 
-    def coin_config(self, basis: ArcBasis) -> CoinConfig:
+    def coin_overrides(self) -> dict[Vertex, CoinKind]:
+        """The coin of every marked vertex; all other vertices keep the Grover reflection."""
         marked_kind = CoinKind.GROVER_MINUS if self.flavor == "gg" else CoinKind.NEG_IDENTITY
-        overrides = {v: marked_kind for v in self.marked_vertices()}
-        return CoinConfig(basis=basis, overrides=overrides)
+        return {v: marked_kind for v in self.marked_vertices()}
+
+    def coin_config(self, basis: ArcBasis) -> CoinConfig:
+        return CoinConfig(basis=basis, overrides=self.coin_overrides())
 
     def validate_spec(self, spec: BipartiteSpec) -> None:
         for v in self.marked_vertices():

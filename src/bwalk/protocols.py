@@ -3,11 +3,14 @@
 Two families:
 
 * passive transfer: pick the step count from the closed-form fidelity
-  (continuous optimum rounded to the parity-correct integer), run the full
-  walk, report the achieved fidelity against the receiver state;
+  (continuous optimum rounded to the parity-correct integer), run the walk,
+  report the achieved fidelity against the receiver state;
 * active switch on the loop walk: start on the sender's loop, mark the
   sender for T1 steps, re-mark the receiver for T2 steps, report fidelity
   against the receiver's loop.
+
+Both run the exact orbit-lumped walk (``lumped``) at any graph size; the
+arc-space simulator is the reference the tests hold them to.
 
 Sweeps run one independent walk or optimisation per graph size, serially
 in the calling thread, and return rows in grid order.
@@ -19,9 +22,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from . import analytic
-from .graph import BipartiteSpec, Vertex, build_basis, fidelity, loop_state, receiver_target_state, uniform_sender_state
-from .operators import MarkedScenario, evolve
+from . import analytic, lumped
+from .graph import BipartiteSpec, Vertex
+from .operators import MarkedScenario
 
 __all__ = [
     "TransferReport",
@@ -134,11 +137,11 @@ def analytic_fidelity_fn(kind: str, flavor: str, n1: int, n2: int) -> Callable:
 
 
 def run_transfer(spec: BipartiteSpec, scenario: MarkedScenario) -> TransferReport:
-    """Run a passive transfer: optimal parity-correct step count, full evolution.
+    """Run a passive transfer: optimal parity-correct step count, exact evolution.
 
     The step count is the parity-correct integer nearest the continuous
     optimum of the closed form, and the reported fidelity comes from the
-    full arc-space walk.
+    exact walk on the arc orbits of the marked sender and receiver.
     """
     if spec.l1 != 0 or spec.l2 != 0:
         raise ValueError("passive transfer runs on the loop-free walk")
@@ -148,9 +151,10 @@ def run_transfer(spec: BipartiteSpec, scenario: MarkedScenario) -> TransferRepor
     f = analytic_fidelity_fn(scenario.kind, scenario.flavor, spec.n1, spec.n2)
     x_star, f_star = analytic.maximize_fidelity(f, transfer_window(spec.n1, spec.n2))
     steps = analytic.best_parity_step(f, x_star, scenario.parity)
-    basis = build_basis(spec)
-    state = evolve(uniform_sender_state(basis, scenario.sender), scenario.coin_config(basis), steps)
-    achieved = fidelity(state, receiver_target_state(basis, scenario.receiver))
+    space = lumped.orbit_space(spec, scenario.marked_vertices())
+    walk = lumped.walk_operator(space, scenario.coin_overrides())
+    state = lumped.evolve(lumped.edge_state(space, scenario.sender), walk, steps)
+    achieved = lumped.fidelity(state, lumped.edge_state(space, scenario.receiver))
     return TransferReport(
         scenario=scenario.kind,
         flavor=scenario.flavor,
@@ -183,11 +187,12 @@ def run_active_switch(spec: BipartiteSpec, sender: Vertex, receiver: Vertex) -> 
         raise ValueError(
             f"active switch requires loop weights l1={schedule.l1!r}, l2={schedule.l2!r}"
         )
-    basis = build_basis(spec)
-    state = loop_state(basis, sender)
-    state = evolve(state, MarkedScenario.single_marked(sender).coin_config(basis), schedule.t1)
-    state = evolve(state, MarkedScenario.single_marked(receiver).coin_config(basis), schedule.t2)
-    achieved = fidelity(state, loop_state(basis, receiver))
+    space = lumped.orbit_space(spec, (sender, receiver))
+    state = lumped.loop_state(space, sender)
+    for marked, steps in ((sender, schedule.t1), (receiver, schedule.t2)):
+        walk = lumped.walk_operator(space, MarkedScenario.single_marked(marked).coin_overrides())
+        state = lumped.evolve(state, walk, steps)
+    achieved = lumped.fidelity(state, lumped.loop_state(space, receiver))
     theta_s = analytic.lqw_angle(spec.n1)
     theta_r = analytic.lqw_angle(spec.n1 if receiver.partition == 1 else spec.n2)
     placement = "same" if receiver.partition == 1 else "diff"

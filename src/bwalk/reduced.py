@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lumped
+from .analytic import grover_angle
 from .graph import ArcBasis, BipartiteSpec, Vertex, WalkState, build_basis
 from .operators import MarkedScenario
 
@@ -102,91 +104,43 @@ def _marked_sides(spec: BipartiteSpec, m: Vertex) -> tuple[int, int, float, floa
     return spec.n2, spec.n1, spec.l2, spec.l1
 
 
+def _another(partition: int, *taken: Vertex) -> Vertex:
+    """A vertex of ``partition`` other than ``taken``, among indices 0..2."""
+    return Vertex(partition, min({0, 1, 2} - {v.index for v in taken}))
+
+
 def build_subspace(scenario: MarkedScenario, spec: BipartiteSpec) -> SubspaceBasis:
-    """Realise the invariant basis of ``scenario`` as orthonormal full-space states."""
-    basis = build_basis(spec)
+    """Realise the invariant basis of ``scenario`` as orthonormal full-space states.
+
+    Every basis state is the uniform state of one arc orbit of the marked
+    vertices' orbit space (``lumped``), named below by one of its arcs.
+    """
     n1, n2 = spec.n1, spec.n2
-
-    def blank() -> np.ndarray:
-        return np.zeros(basis.dimension, dtype=np.complex128)
-
     if scenario.kind == "diff":
         _require(scenario.flavor == "gg", "the 4-dim invariant basis holds for the negated-Grover marking only")
         _require(n1 >= 2 and n2 >= 2, "opposite-partition subspace needs n1 >= 2 and n2 >= 2")
-        s, r = scenario.sender.index, scenario.receiver.index
-        others1 = [i for i in range(n1) if i != s]
-        others2 = [j for j in range(n2) if j != r]
-        vecs = []
-        a = blank()
-        a[basis.arc_index(Vertex(2, r), Vertex(1, s))] = 1.0
-        vecs.append(a)
-        a = blank()
-        basis.block_21(a)[r, others1] = 1.0 / math.sqrt(n1 - 1)
-        vecs.append(a)
-        a = blank()
-        basis.block_21(a)[others2, s] = 1.0 / math.sqrt(n2 - 1)
-        vecs.append(a)
-        a = blank()
-        basis.block_21(a)[np.ix_(others2, others1)] = 1.0 / math.sqrt((n1 - 1) * (n2 - 1))
-        vecs.append(a)
-
+        s, r = scenario.sender, scenario.receiver
+        o1, o2 = _another(1, s), _another(2, r)
+        arcs = [(r, s), (r, o1), (o2, s), (o2, o1)]
     elif scenario.kind == "same":
         _require(scenario.flavor == "gg", "the 3-dim invariant basis holds for the negated-Grover marking only")
         _require(n1 >= 3, "same-partition subspace needs n1 >= 3")
-        s, r = scenario.sender.index, scenario.receiver.index
-        rest = [i for i in range(n1) if i not in (s, r)]
-        vecs = []
-        a = blank()
-        basis.block_12(a)[s, :] = 1.0 / math.sqrt(n2)
-        vecs.append(a)
-        a = blank()
-        basis.block_12(a)[r, :] = 1.0 / math.sqrt(n2)
-        vecs.append(a)
-        a = blank()
-        basis.block_12(a)[rest, :] = 1.0 / math.sqrt(n2 * (n1 - 2))
-        vecs.append(a)
-
+        s, r, w = scenario.sender, scenario.receiver, Vertex(2, 0)
+        arcs = [(s, w), (r, w), (_another(1, s, r), w)]
     elif scenario.kind == "single":
         m = scenario.marked
         _require(spec.l1 > 0 and spec.l2 > 0, "single-marked subspace needs loops in both partitions")
-        nm = spec.partition_size(m.partition)
-        _require(nm >= 2, "single-marked subspace needs at least 2 vertices in the marked partition")
-        if m.partition == 1:
-            out_block, in_block = basis.block_12, basis.block_21
-            own_loops, other_loops = basis.loops1, basis.loops2
-        else:
-            out_block, in_block = basis.block_21, basis.block_12
-            own_loops, other_loops = basis.loops2, basis.loops1
-        no = spec.partition_size(3 - m.partition)
-        others = [i for i in range(nm) if i != m.index]
-        vecs = []
-        a = blank()
-        a[basis.loop_index(m)] = 1.0
-        vecs.append(a)
-        a = blank()
-        out_block(a)[m.index, :] = 1.0 / math.sqrt(no)
-        vecs.append(a)
-        a = blank()
-        in_block(a)[:, m.index] = 1.0 / math.sqrt(no)
-        vecs.append(a)
-        a = blank()
-        a[other_loops] = 1.0 / math.sqrt(no)
-        vecs.append(a)
-        a = blank()
-        in_block(a)[:, others] = 1.0 / math.sqrt(no * (nm - 1))
-        vecs.append(a)
-        a = blank()
-        out_block(a)[others, :] = 1.0 / math.sqrt(no * (nm - 1))
-        vecs.append(a)
-        a = blank()
-        loops = a[own_loops]
-        loops[others] = 1.0 / math.sqrt(nm - 1)
-        vecs.append(a)
-
+        _require(spec.partition_size(m.partition) >= 2, "single-marked subspace needs at least 2 vertices in the marked partition")
+        o, w = _another(m.partition, m), Vertex(3 - m.partition, 0)
+        arcs = [(m, m), (m, w), (w, m), (w, w), (w, o), (o, w), (o, o)]
     else:
         raise ValueError(f"no invariant basis for scenario kind {scenario.kind!r}")
 
-    states = tuple(WalkState(basis, v) for v in vecs)
+    basis = build_basis(spec)
+    space = lumped.orbit_space(spec, scenario.marked_vertices())
+    orbit = lumped.arc_orbits(space, basis)
+    scale = 1.0 / np.sqrt(np.bincount(orbit))[orbit]
+    states = tuple(WalkState(basis, np.where(orbit == space.orbit_index(*arc), scale, 0.0)) for arc in arcs)
     return SubspaceBasis(scenario=scenario, spec=spec, basis=basis, states=states)
 
 
@@ -304,8 +258,7 @@ def reduced_eigensystem(scenario: MarkedScenario, spec: BipartiteSpec) -> EigenS
     Single-marked: the closed-form large-graph eigenbasis, flagged asymptotic.
     """
     if scenario.kind == "diff":
-        th1 = math.acos(1 - 2 / spec.n1)
-        th2 = math.acos(1 - 2 / spec.n2)
+        th1, th2 = grover_angle(spec.n1), grover_angle(spec.n2)
         alpha, beta = th1 + th2, th1 - th2
         values = np.array([np.exp(1j * alpha), np.exp(-1j * alpha), np.exp(1j * beta), np.exp(-1j * beta)])
         vectors = 0.5 * np.column_stack(
@@ -320,7 +273,7 @@ def reduced_eigensystem(scenario: MarkedScenario, spec: BipartiteSpec) -> EigenS
     if scenario.kind == "same":
         op = reduced_matrix(scenario, spec)
         system = numeric_eigensystem(op)
-        system.phases["rotation"] = math.acos(1 - 4 / spec.n1)
+        system.phases["rotation"] = 2.0 * math.asin(math.sqrt(2 / spec.n1))
         return system
     if scenario.kind == "single":
         _require(spec.l1 > 0 and spec.l2 > 0, "single-marked model needs loops in both partitions")

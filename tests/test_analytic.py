@@ -19,6 +19,7 @@ from bwalk import (
 from helpers import simulated_fidelity_series
 from bwalk.graph import BipartiteSpec
 from bwalk.operators import MarkedScenario
+from bwalk.reduced import reduced_eigensystem
 
 
 def test_angles():
@@ -28,6 +29,38 @@ def test_angles():
         grover_angle(0)
     with pytest.raises(ValueError):
         lqw_angle(1)
+
+
+def test_angles_keep_full_precision_at_large_sizes():
+    # arccos(1 - 2x) loses relative precision as x -> 0 (1.1e-5 at n = 1e12);
+    # the angles must match a 40-digit evaluation to 1e-15 relative
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+
+    def arccos_1_minus_2x(num, den):
+        return mp.acos(1 - 2 * mp.mpf(num) / den)
+
+    def close(got, want, rel):
+        return abs(got - want) <= rel * abs(want)
+
+    for n in (10, 10**4, 10**8, 10**10, 10**12):
+        m = 3 * n + 1
+        assert close(grover_angle(n), arccos_1_minus_2x(1, n), 1e-15)
+        diff = reduced_eigensystem(MarkedScenario.diff_partition(), BipartiteSpec(n, m))
+        assert close(diff.phases["sum"], arccos_1_minus_2x(1, n) + arccos_1_minus_2x(1, m), 1e-15)
+        same = reduced_eigensystem(MarkedScenario.same_partition(), BipartiteSpec(n, 3))
+        assert close(same.phases["rotation"], arccos_1_minus_2x(2, n), 1e-15)
+        # the closed forms at a step where each sits at a quarter turn of its
+        # angle; their value moves by about 3x the angle's relative error
+        omega = arccos_1_minus_2x(2, n)
+        steps = float(mp.pi / omega)
+        assert close(fidelity_same(n, steps), mp.sin(omega * steps / 4) ** 4, 1e-14)
+        omega = arccos_1_minus_2x(n + m - 1, n * m)
+        steps = float(1 + mp.pi / omega)
+        t = (mp.mpf(steps) - 1) / 2
+        num = n * m - (n - 1) * (m - 1) * mp.cos(omega * t) + mp.sqrt((n - 1) * (m - 1) * (n + m - 1)) * mp.sin(omega * t)
+        assert close(fidelity_diff_gi(n, m, steps), num**2 / (n * m * (n + m - 1) ** 2), 1e-14)
 
 
 def test_diff_gg_reference_values():

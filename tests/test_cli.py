@@ -206,3 +206,30 @@ def test_verify_fault_injection(capsys):
     code, out, _ = run_cli(capsys, "verify", "--check", "subspace", "--inject-fault")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_transfer_at_a_size_beyond_the_arc_space(capsys):
+    # 2e10 arcs: only the orbit-lumped walk can run this
+    code, out, _ = run_cli(capsys, "transfer", "--n1", "100000", "--n2", "100000", "--scenario", "diff")
+    assert code == 0
+    payload = json.loads(out)
+    assert abs(payload["fidelity"] - fidelity_diff_gg(100000, 100000, payload["steps"])) < 1e-9
+
+
+def test_active_switch_at_a_size_beyond_the_arc_space(capsys):
+    code, out, _ = run_cli(capsys, "active-switch", "--n1", "100000", "--n2", "100000", "--placement", "diff")
+    assert code == 0
+    assert 0.99 < json.loads(out)["fidelity"] <= 1.0
+
+
+def test_curve_simulates_every_size(capsys):
+    code, out, _ = run_cli(
+        capsys, "fidelity-curve", "--n1", "1000", "--n2", "1000", "--scenario", "diff", "--steps", "60"
+    )
+    assert code == 0
+    _, rows = parse_csv(out)
+    integer_rows = [row for row in rows if row[3]]
+    assert len(integer_rows) == 60 and all(row[2] for row in integer_rows)
+    for row in integer_rows:
+        if row[3] == "odd":
+            assert float(row[2]) == pytest.approx(float(row[1]), abs=1e-10)

@@ -14,12 +14,14 @@ from bwalk import (
     fidelity_diff_gi,
     fidelity_same,
     loop_state,
+    receiver_target_state,
     run_active_switch,
     run_transfer,
     stationary_state,
     sweep_active_switch,
     sweep_max_fidelity,
     switch_spec,
+    uniform_sender_state,
 )
 from bwalk.operators import MarkedScenario
 
@@ -117,14 +119,39 @@ def test_active_switch_midpoint_stationary_overlap():
 
 
 def test_active_switch_is_two_primitive_evolutions():
-    spec = switch_spec(30, 24)
-    sender, receiver = Vertex(1, 0), Vertex(2, 5)
-    report = run_active_switch(spec, sender, receiver)
+    # the protocol runs the lumped walk; the full arc-space walk is its oracle.
+    # At (2, 2) the rest of the receiver's partition is empty
+    for n1, n2, receiver in ((30, 24, Vertex(2, 5)), (30, 24, Vertex(1, 3)), (2, 2, Vertex(2, 1)), (2, 2, Vertex(1, 1))):
+        spec = switch_spec(n1, n2)
+        sender = Vertex(1, 0)
+        report = run_active_switch(spec, sender, receiver)
+        basis = build_basis(spec)
+        schedule = SwitchSchedule.for_transfer(n1, n2, receiver_partition=receiver.partition)
+        state = evolve(loop_state(basis, sender), MarkedScenario.single_marked(sender).coin_config(basis), schedule.t1)
+        state = evolve(state, MarkedScenario.single_marked(receiver).coin_config(basis), schedule.t2)
+        assert abs(fidelity(state, loop_state(basis, receiver)) - report.fidelity) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "n1, n2, scenario",
+    [
+        (9, 7, MarkedScenario.diff_partition(2, 4, "gg")),
+        (9, 7, MarkedScenario.diff_partition(2, 4, "gi")),
+        (9, 7, MarkedScenario.same_partition(3, 5, "gg")),
+        # sizes where a vertex class is empty
+        (1, 1, MarkedScenario.diff_partition(0, 0, "gg")),
+        (1, 1, MarkedScenario.diff_partition(0, 0, "gi")),
+        (1, 3, MarkedScenario.diff_partition(0, 1, "gg")),
+        (2, 1, MarkedScenario.diff_partition(1, 0, "gi")),
+        (2, 1, MarkedScenario.same_partition(1, 0, "gg")),
+    ],
+)
+def test_transfer_matches_full_evolution(n1, n2, scenario):
+    spec = BipartiteSpec(n1, n2)
+    report = run_transfer(spec, scenario)
     basis = build_basis(spec)
-    schedule = SwitchSchedule.for_transfer(30, 24, receiver_partition=2)
-    state = evolve(loop_state(basis, sender), MarkedScenario.single_marked(sender).coin_config(basis), schedule.t1)
-    state = evolve(state, MarkedScenario.single_marked(receiver).coin_config(basis), schedule.t2)
-    assert fidelity(state, loop_state(basis, receiver)) == report.fidelity
+    state = evolve(uniform_sender_state(basis, scenario.sender), scenario.coin_config(basis), report.steps)
+    assert abs(fidelity(state, receiver_target_state(basis, scenario.receiver)) - report.fidelity) < 1e-12
 
 
 def test_active_switch_validation():
